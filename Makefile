@@ -57,7 +57,7 @@ bench-guard:
 # executor) must stay under the allocs/op ceilings and within max_ns_ratio
 # of the ns/op baselines in BENCH_train.json.
 bench-guard-train:
-	$(GO) test -bench 'BenchmarkTrainStep|BenchmarkSparseTrainStep' -benchmem -benchtime 20x \
+	$(GO) test -bench 'BenchmarkTrainStep|BenchmarkSparseTrainStep$$' -benchmem -benchtime 20x \
 		-run '^$$' . > bench_train.out
 	$(GO) run ./cmd/benchguard -baseline BENCH_train.json -input bench_train.out
 
@@ -79,13 +79,16 @@ bench-guard-dist:
 
 # Multi-core speedup gate (mirrors CI's bench-parallel job): at
 # GOMAXPROCS=4 the batched shard executor at W=4 must beat the sequential
-# W=1 path on wall time. Requires >= 4 real cores — meaningless (and
-# failing) on smaller machines, so it is not part of `make check`.
+# W=1 path on wall time, and the sparse-native step at procs=4 must beat
+# itself at procs=1. Requires >= 4 real cores — meaningless (and failing)
+# on smaller machines, so it is not part of `make check`.
 bench-parallel:
-	GOMAXPROCS=4 $(GO) test -bench BenchmarkTrainStep -benchmem -benchtime 20x \
-		-run '^$$' . > bench_parallel.out
+	GOMAXPROCS=4 $(GO) test -bench 'BenchmarkTrainStep|BenchmarkSparseTrainStepProcs' \
+		-benchmem -benchtime 20x -run '^$$' . > bench_parallel.out
 	$(GO) run ./cmd/benchguard -baseline '' -input bench_parallel.out \
 		-assert-faster 'BenchmarkTrainStep/workers=4<BenchmarkTrainStep/workers=1'
+	$(GO) run ./cmd/benchguard -baseline '' -input bench_parallel.out \
+		-assert-faster 'BenchmarkSparseTrainStepProcs/procs=4<BenchmarkSparseTrainStepProcs/procs=1'
 
 # Repo-wide statement coverage vs the committed floor (enforcing).
 cover:

@@ -7,7 +7,16 @@ import (
 
 	"dropback/internal/nn"
 	"dropback/internal/optim"
+	"dropback/internal/tensor"
 )
+
+// RegenWork is the cost of one weight regeneration in the multiply-accumulate
+// units that tensor.ParallelChunks' work argument counts: an IndexedNormal
+// (two 64-bit mixes, four xorshift rounds, a rescale) measures about 16
+// scalar MACs on x86-64. Loops that regenerate weights add RegenWork per
+// regenerated element to their work, so they fan out under the same
+// parallelThreshold as the dense kernels.
+const RegenWork = 16
 
 // TrackedTensor is the CSR view of one virtualized parameter tensor: only
 // the tracked deltas are stored (flat index + value over the tensor's own
@@ -35,21 +44,44 @@ type TrackedTensor struct {
 
 // FillRow materializes one row of the virtual dense tensor into dst
 // (len(dst) == RowLen): tracked values verbatim, gaps regenerated from the
-// init stream — bit-equal to the dense row by the PR 7 argument.
+// init stream — bit-equal to the dense row (DESIGN.md §9).
 func (t *TrackedTensor) FillRow(dst []float32, r int) {
+	t.FillRowRange(dst, r, 0, t.RowLen)
+}
+
+// FillRowRange materializes columns [lo, hi) of row r into dst
+// (len(dst) == hi-lo): the FillRow merge walk restricted to the window,
+// starting at the row's first tracked entry at or after column lo. It is
+// bit-equal to the matching slice of FillRow, which lets kernels that
+// partition a weight row's columns across goroutines each regenerate only
+// their own slice.
+func (t *TrackedTensor) FillRowRange(dst []float32, r, lo, hi int) {
 	base := r * t.RowLen
-	p := 0
-	for k := t.RowPtr[r]; k < t.RowPtr[r+1]; k++ {
-		c := int(t.Idx[k]) - base
-		for ; p < c; p++ {
-			dst[p] = t.P.Init.Regenerate(base + p)
+	k, end := int(t.RowPtr[r]), int(t.RowPtr[r+1])
+	if lo > 0 {
+		// Binary search for the first tracked entry at or after column lo.
+		target := int32(base + lo)
+		for n := end - k; n > 0; {
+			half := n / 2
+			if t.Idx[k+half] < target {
+				k += half + 1
+				n -= half + 1
+			} else {
+				n = half
+			}
 		}
-		dst[c] = t.Val[k]
+	}
+	p := lo
+	for ; k < end; k++ {
+		c := int(t.Idx[k]) - base
+		if c >= hi {
+			break
+		}
+		t.P.Init.FillRange(dst[p-lo:c-lo], base+p)
+		dst[c-lo] = t.Val[k]
 		p = c + 1
 	}
-	for ; p < t.RowLen; p++ {
-		dst[p] = t.P.Init.Regenerate(base + p)
-	}
+	t.P.Init.FillRange(dst[p-lo:hi-lo], base+p)
 }
 
 func (t *TrackedTensor) rebuildRowPtr() {
@@ -206,22 +238,9 @@ func (d *TrackedTrainer) Apply(lr float32) int {
 	for i, p := range params {
 		base := d.set.Offset(i)
 		if t := d.big[i]; t != nil {
-			g := p.Grad.Data
-			k := 0
-			for e := 0; e < p.Len(); e++ {
-				r := p.Init.Regenerate(e)
-				v := r
-				if k < len(t.Idx) && int(t.Idx[k]) == e {
-					v = t.Val[k]
-					k++
-				}
-				u := d.sgd.Update(v, g[e])
-				diff := u - r
-				if diff < 0 {
-					diff = -diff
-				}
-				d.scores[base+e] = diff
-			}
+			// Rows own disjoint score slots, so scoring fans out by row.
+			scores := d.scores[base : base+p.Len()]
+			tensor.ParallelChunks(t.Rows, RegenWork*p.Len(), func(_, lo, hi int) { d.scoreRows(t, scores, lo, hi) })
 		} else {
 			d.sgd.StepTracked(p.Value.Data, p.Grad.Data)
 			for e, v := range p.Value.Data {
@@ -290,6 +309,29 @@ func (d *TrackedTrainer) Apply(lr float32) int {
 	d.mask, d.prevMask = d.prevMask, d.mask
 	d.havePrev = true
 	return swaps
+}
+
+// scoreRows writes the post-update scores of rows [lo, hi) of t into
+// scores (indexed by the tensor's flat element index). The CSR merge walk
+// starts at the first tracked entry of row lo.
+func (d *TrackedTrainer) scoreRows(t *TrackedTensor, scores []float32, lo, hi int) {
+	g := t.P.Grad.Data
+	in := t.P.Init
+	k := int(t.RowPtr[lo])
+	for e := lo * t.RowLen; e < hi*t.RowLen; e++ {
+		r := in.Regenerate(e)
+		v := r
+		if k < len(t.Idx) && int(t.Idx[k]) == e {
+			v = t.Val[k]
+			k++
+		}
+		u := d.sgd.Update(v, g[e])
+		diff := u - r
+		if diff < 0 {
+			diff = -diff
+		}
+		scores[e] = diff
+	}
 }
 
 // applyFrozen updates the fixed tracked set only: CSR values from the
@@ -430,10 +472,13 @@ func (d *TrackedTrainer) Densify() {
 		if t == nil {
 			continue
 		}
-		data := t.P.Value.Data
-		for r := 0; r < t.Rows; r++ {
-			t.FillRow(data[r*t.RowLen:(r+1)*t.RowLen], r)
-		}
+		// Rows are disjoint slices of the dense tensor: fan out by row.
+		tensor.ParallelChunks(t.Rows, RegenWork*t.P.Len(), func(_, lo, hi int) {
+			data := t.P.Value.Data
+			for r := lo; r < hi; r++ {
+				t.FillRow(data[r*t.RowLen:(r+1)*t.RowLen], r)
+			}
+		})
 	}
 }
 

@@ -62,15 +62,11 @@ func (m *csrMat) fillRow(dst []float32, r int) {
 	p := 0
 	for t := m.rowPtr[r]; t < m.rowPtr[r+1]; t++ {
 		c := int(m.idx[t])
-		for ; p < c; p++ {
-			dst[p] = m.init.Regenerate(base + p)
-		}
-		dst[p] = m.val[t]
-		p++
+		m.init.FillRange(dst[p:c], base+p)
+		dst[c] = m.val[t]
+		p = c + 1
 	}
-	for ; p < m.cols; p++ {
-		dst[p] = m.init.Regenerate(base + p)
-	}
+	m.init.FillRange(dst[p:m.cols], base+p)
 }
 
 // Plan is the compiled, immutable sparse execution form of one artifact

@@ -30,9 +30,24 @@
 //     ascending f from a cleared buffer, skipping W[f][c]==0; the replay
 //     hoists f outward and skips on the regenerated row's identical bits.
 //
-// Kernels run single-goroutine: the bit-identity already holds at any
-// worker count for the dense layers, but the mirror's merge walks share one
-// bounce buffer per layer and the sparse trainer rejects Workers>1 anyway.
+// Every loop fans out across GOMAXPROCS through tensor.ParallelChunks once
+// its work (multiply-accumulates plus core.RegenWork per regenerated
+// weight) crosses the dense kernels' threshold. The partitions are
+// output-disjoint — every output element is written by exactly one
+// goroutine, so each keeps its own accumulation order and the result is
+// bit-identical at any GOMAXPROCS:
+//
+//   - forward: by output row (Linear output column j, Conv filter f);
+//   - Linear dX and Conv dcols: by input-column range, each chunk
+//     regenerating only its window of every weight row
+//     (TrackedTensor.FillRowRange) into a private bounce row;
+//   - frozen tracked dW: by tracked entry (Linear: the contiguous entry
+//     ranges of whole weight rows);
+//   - im2col, col2im and the pre-freeze Conv dW partials: by sample; the
+//     partials' reduction by dW element.
+//
+// Biases stay serial: they are small, and their dense code is replayed
+// verbatim.
 package sparsenn
 
 import (
@@ -143,13 +158,56 @@ func (s *trainLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	s.x = x
 	n := x.Shape[0]
 	y := s.ws.GetRaw("y", n, l.Out)
-	wrow := s.ws.GetRaw("wrow", l.In).Data
-	// Dense MatMulTransB computes each y[i][j] as an independent ascending
-	// dot with no zero skip; materializing W row j once per output column
-	// preserves every element's operation sequence (see linearOp).
-	for j := 0; j < l.Out; j++ {
+	// Output columns j are partitioned across chunks: each chunk streams its
+	// own weight rows through a private bounce row. The Linear loops call
+	// the worker directly when the work stays on one chunk, so the layers
+	// below the threshold allocate no closure per step.
+	work := n*l.Out*l.In + core.RegenWork*l.Out*l.In
+	chunks := tensor.ParallelChunkCount(l.Out, work)
+	wrows := s.ws.GetRaw("wrow", chunks, l.In).Data
+	if chunks == 1 {
+		s.forwardRows(y, wrows, 0, l.Out)
+	} else {
+		tensor.ParallelChunks(l.Out, work, func(c, lo, hi int) {
+			s.forwardRows(y, wrows[c*l.In:(c+1)*l.In], lo, hi)
+		})
+	}
+	if l.B != nil {
+		tensor.AddRowVector(y, l.B.Value)
+	}
+	return y
+}
+
+// forwardRows computes output columns [lo, hi) of y for the whole batch.
+// Dense MatMulTransB computes each y[i][j] as an independent ascending dot
+// with no zero skip; materializing W row j once per output column preserves
+// every element's operation sequence (see linearOp). Four samples share
+// each weight load, each in its own accumulator, so the four dots run as
+// independent add chains while each still sums in ascending p.
+func (s *trainLinear) forwardRows(y *tensor.Tensor, wrow []float32, lo, hi int) {
+	l, x := s.l, s.x
+	n := x.Shape[0]
+	for j := lo; j < hi; j++ {
 		s.t.FillRow(wrow, j)
-		for i := 0; i < n; i++ {
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			x0 := x.Data[i*l.In : (i+1)*l.In][:len(wrow)]
+			x1 := x.Data[(i+1)*l.In : (i+2)*l.In][:len(wrow)]
+			x2 := x.Data[(i+2)*l.In : (i+3)*l.In][:len(wrow)]
+			x3 := x.Data[(i+3)*l.In : (i+4)*l.In][:len(wrow)]
+			var a0, a1, a2, a3 float32
+			for p, wv := range wrow {
+				a0 += x0[p] * wv
+				a1 += x1[p] * wv
+				a2 += x2[p] * wv
+				a3 += x3[p] * wv
+			}
+			y.Data[i*l.Out+j] = a0
+			y.Data[(i+1)*l.Out+j] = a1
+			y.Data[(i+2)*l.Out+j] = a2
+			y.Data[(i+3)*l.Out+j] = a3
+		}
+		for ; i < n; i++ {
 			xrow := x.Data[i*l.In : (i+1)*l.In]
 			var acc float32
 			for p, xv := range xrow {
@@ -158,10 +216,6 @@ func (s *trainLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			y.Data[i*l.Out+j] = acc
 		}
 	}
-	if l.B != nil {
-		tensor.AddRowVector(y, l.B.Value)
-	}
-	return y
 }
 
 func (s *trainLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
@@ -171,22 +225,13 @@ func (s *trainLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	n := dy.Shape[0]
 	if s.eng.Frozen() {
-		// Tracked-set-only dW: replay the dense MatMulTransA element for
-		// each tracked (r,c) — ascending-sample fold from zero, skipping
-		// dy[p][r]==0 — exactly the value AddInPlace would land in W.Grad.
-		t := s.t
-		for k, fi := range t.Idx {
-			r := int(fi) / l.In
-			c := int(fi) % l.In
-			var acc float32
-			for p := 0; p < n; p++ {
-				av := dy.Data[p*l.Out+r]
-				if av == 0 {
-					continue
-				}
-				acc += av * s.x.Data[p*l.In+c]
-			}
-			t.TGrad[k] = acc
+		// Tracked-set-only dW, partitioned by weight row: each chunk owns
+		// the contiguous tracked-entry range of its rows.
+		work := len(s.t.Idx) * n
+		if tensor.ParallelChunkCount(l.Out, work) == 1 {
+			s.trackedGrad(dy, 0, l.Out)
+		} else {
+			tensor.ParallelChunks(l.Out, work, func(_, lo, hi int) { s.trackedGrad(dy, lo, hi) })
 		}
 	} else {
 		// Pre-freeze every weight is a candidate: dense gradients via the
@@ -203,28 +248,73 @@ func (s *trainLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	// dx = dy @ W with regenerated rows: clear, then ascending-p
-	// accumulation skipping dy==0 — the dense MatMulInto sequence with the
-	// weight-row loop hoisted outward.
+	// dx = dy @ W with regenerated rows, input columns partitioned across
+	// chunks: each chunk regenerates only its slice of every weight row.
 	dx := s.ws.GetRaw("dx", n, l.In)
-	for i := range dx.Data {
-		dx.Data[i] = 0
+	work := n*l.Out*l.In + core.RegenWork*l.Out*l.In
+	chunks := tensor.ParallelChunkCount(l.In, work)
+	wrows := s.ws.GetRaw("wrow", chunks, l.In).Data
+	if chunks == 1 {
+		s.inputGradCols(dy, dx, wrows, 0, l.In)
+	} else {
+		tensor.ParallelChunks(l.In, work, func(c, lo, hi int) {
+			s.inputGradCols(dy, dx, wrows[c*l.In:(c+1)*l.In], lo, hi)
+		})
 	}
-	wrow := s.ws.GetRaw("wrow", l.In).Data
+	return dx
+}
+
+// trackedGrad computes the tracked gradients of weight rows [lo, hi): each
+// tracked (r,c) replays the dense MatMulTransA element — an ascending-sample
+// fold from zero, skipping dy[p][r]==0 — exactly the value AddInPlace would
+// land in W.Grad. The sample loop is hoisted outward so each x row and each
+// zero test on dy[p][r] serve a whole row of tracked entries; that reorders
+// whole elements, never the operations within one.
+func (s *trainLinear) trackedGrad(dy *tensor.Tensor, lo, hi int) {
+	l, t := s.l, s.t
+	n := dy.Shape[0]
+	clear(t.TGrad[t.RowPtr[lo]:t.RowPtr[hi]])
+	for p := 0; p < n; p++ {
+		xrow := s.x.Data[p*l.In : (p+1)*l.In]
+		for r := lo; r < hi; r++ {
+			av := dy.Data[p*l.Out+r]
+			if av == 0 {
+				continue
+			}
+			base := int32(r * l.In)
+			idx := t.Idx[t.RowPtr[r]:t.RowPtr[r+1]]
+			grad := t.TGrad[t.RowPtr[r]:t.RowPtr[r+1]][:len(idx)]
+			for m, fi := range idx {
+				grad[m] += av * xrow[fi-base]
+			}
+		}
+	}
+}
+
+// inputGradCols computes columns [lo, hi) of dx = dy @ W: clear, then
+// ascending-p accumulation skipping dy==0 — the dense MatMulInto sequence
+// with the weight-row loop hoisted outward and each row regenerated over
+// the chunk's window only.
+func (s *trainLinear) inputGradCols(dy, dx *tensor.Tensor, wrow []float32, lo, hi int) {
+	l := s.l
+	n := dy.Shape[0]
+	wrow = wrow[:hi-lo]
+	for i := 0; i < n; i++ {
+		clear(dx.Data[i*l.In+lo : i*l.In+hi])
+	}
 	for p := 0; p < l.Out; p++ {
-		s.t.FillRow(wrow, p)
+		s.t.FillRowRange(wrow, p, lo, hi)
 		for i := 0; i < n; i++ {
 			av := dy.Data[i*l.Out+p]
 			if av == 0 {
 				continue
 			}
-			row := dx.Data[i*l.In : (i+1)*l.In]
+			row := dx.Data[i*l.In+lo : i*l.In+hi][:len(wrow)]
 			for j, wv := range wrow {
 				row[j] += av * wv
 			}
 		}
 	}
-	return dx
 }
 
 // trainConv is the training-mode sparse Conv2D: im2col lowering with the
@@ -246,6 +336,16 @@ func (s *trainConv) Name() string { return s.l.Name() }
 
 func (s *trainConv) Params() []*nn.Param { return s.l.Params() }
 
+// geom returns the layer's derived dimensions for the cached input shape.
+func (s *trainConv) geom() convGeom {
+	l := s.l
+	h, w := s.inShape[2], s.inShape[3]
+	colRows := l.InC * l.KH * l.KW
+	spatial := s.outH * s.outW
+	return convGeom{h: h, w: w, colRows: colRows, spatial: spatial,
+		imgSize: l.InC * h * w, perSample: l.OutC * spatial, colSize: colRows * spatial}
+}
+
 func (s *trainConv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l := s.l
 	if len(x.Shape) != 4 || x.Shape[1] != l.InC {
@@ -256,41 +356,56 @@ func (s *trainConv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	s.outH = tensor.ConvOutSize(h, l.KH, l.Stride, l.Pad)
 	s.outW = tensor.ConvOutSize(w, l.KW, l.Stride, l.Pad)
 	s.batch = n
-	colRows := l.InC * l.KH * l.KW
-	spatial := s.outH * s.outW
-	imgSize := l.InC * h * w
-	perSample := l.OutC * spatial
-	colSize := colRows * spatial
+	g := s.geom()
 
-	s.cols = s.ws.GetRaw("cols", n, colRows, spatial)
+	s.cols = s.ws.GetRaw("cols", n, g.colRows, g.spatial)
 	y := s.ws.GetRaw("y", n, l.OutC, s.outH, s.outW)
-	wrow := s.ws.GetRaw("wrow", colRows).Data
-	for i := 0; i < n; i++ {
-		tensor.Im2ColSlice(s.cols.Data[i*colSize:(i+1)*colSize], x.Data[i*imgSize:(i+1)*imgSize],
-			l.InC, h, w, l.KH, l.KW, l.Stride, l.Pad)
+	// Lowering writes one disjoint slab region per sample.
+	tensor.ParallelChunks(n, n*g.colSize, func(_, lo, hi int) { s.lowerSamples(x, g, lo, hi) })
+	// Filters f are partitioned across chunks: each chunk owns the output
+	// planes of its filters in every sample.
+	work := n*g.perSample*g.colRows + core.RegenWork*l.OutC*g.colRows
+	wrows := s.ws.GetRaw("wrow", tensor.ParallelChunkCount(l.OutC, work), g.colRows).Data
+	tensor.ParallelChunks(l.OutC, work, func(c, lo, hi int) {
+		s.forwardFilters(y, wrows[c*g.colRows:(c+1)*g.colRows], g, lo, hi)
+	})
+	return y
+}
+
+// lowerSamples im2col-lowers samples [lo, hi) into the cols slab.
+func (s *trainConv) lowerSamples(x *tensor.Tensor, g convGeom, lo, hi int) {
+	l := s.l
+	for i := lo; i < hi; i++ {
+		tensor.Im2ColSlice(s.cols.Data[i*g.colSize:(i+1)*g.colSize], x.Data[i*g.imgSize:(i+1)*g.imgSize],
+			l.InC, g.h, g.w, l.KH, l.KW, l.Stride, l.Pad)
 	}
-	// Each filter row is materialized once and multiplied against every
-	// lowered sample by MatMulRowSlice — the dense MatMulSlice row's exact
-	// operation sequence (same tiling, clear, order, and zero skip).
-	for f := 0; f < l.OutC; f++ {
+}
+
+// forwardFilters computes the output planes of filters [lo, hi) for every
+// sample. Each filter row is materialized once and multiplied against every
+// lowered sample by MatMulRowSlice — the dense MatMulSlice row's exact
+// operation sequence (same tiling, clear, order, and zero skip) — then the
+// filter's bias is added to each of its planes, as the dense per-plane adds
+// do.
+func (s *trainConv) forwardFilters(y *tensor.Tensor, wrow []float32, g convGeom, lo, hi int) {
+	l := s.l
+	for f := lo; f < hi; f++ {
 		s.t.FillRow(wrow, f)
-		for i := 0; i < n; i++ {
-			tensor.MatMulRowSlice(y.Data[i*perSample+f*spatial:i*perSample+(f+1)*spatial],
-				wrow, s.cols.Data[i*colSize:(i+1)*colSize], colRows, spatial)
+		for i := 0; i < s.batch; i++ {
+			plane := y.Data[i*g.perSample+f*g.spatial : i*g.perSample+(f+1)*g.spatial]
+			tensor.MatMulRowSlice(plane, wrow, s.cols.Data[i*g.colSize:(i+1)*g.colSize], g.colRows, g.spatial)
 		}
-	}
-	if l.B != nil {
-		for i := 0; i < n; i++ {
-			for f := 0; f < l.OutC; f++ {
-				b := l.B.Value.Data[f]
-				plane := y.Data[i*perSample+f*spatial : i*perSample+(f+1)*spatial]
-				for j := range plane {
-					plane[j] += b
-				}
+		if l.B == nil {
+			continue
+		}
+		b := l.B.Value.Data[f]
+		for i := 0; i < s.batch; i++ {
+			plane := y.Data[i*g.perSample+f*g.spatial : i*g.perSample+(f+1)*g.spatial]
+			for j := range plane {
+				plane[j] += b
 			}
 		}
 	}
-	return y
 }
 
 func (s *trainConv) Backward(dy *tensor.Tensor) *tensor.Tensor {
@@ -299,60 +414,29 @@ func (s *trainConv) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("sparsenn: conv %q Backward before Forward", l.Name()))
 	}
 	n := s.batch
-	h, w := s.inShape[2], s.inShape[3]
-	colRows := l.InC * l.KH * l.KW
-	spatial := s.outH * s.outW
-	imgSize := l.InC * h * w
-	perSample := l.OutC * spatial
-	colSize := colRows * spatial
-	wSize := l.OutC * colRows
+	g := s.geom()
+	wSize := l.OutC * g.colRows
 
 	if s.eng.Frozen() {
-		// Tracked-set-only dW: each tracked (f,c) folds the per-sample
-		// independent dots (dense MatMulTransBSlice elements) in ascending
-		// sample order from zero — the value the dense reduction loop would
-		// land in W.Grad.
-		t := s.t
-		for k, fi := range t.Idx {
-			f := int(fi) / colRows
-			c := int(fi) % colRows
-			var acc float32
-			for i := 0; i < n; i++ {
-				dyRow := dy.Data[i*perSample+f*spatial : i*perSample+(f+1)*spatial]
-				colRow := s.cols.Data[i*colSize+c*spatial : i*colSize+(c+1)*spatial]
-				var dot float32
-				for j, v := range dyRow {
-					dot += v * colRow[j]
-				}
-				acc += dot
-			}
-			t.TGrad[k] = acc
-		}
+		// Tracked-set-only dW, partitioned over tracked entries.
+		nnz := len(s.t.Idx)
+		tensor.ParallelChunks(nnz, nnz*n*g.spatial, func(_, lo, hi int) { s.trackedGrad(dy, g, lo, hi) })
 	} else {
-		// Pre-freeze dense dW: the exact per-sample kernel plus the dense
-		// ascending-sample reduction (weights are not read).
+		// Pre-freeze dense dW: the exact per-sample kernel (samples own
+		// disjoint partials) plus the dense ascending-sample reduction
+		// (elements own disjoint sums); weights are not read.
 		dwPart := s.ws.GetRaw("dwpart", n, wSize)
-		for i := 0; i < n; i++ {
-			tensor.MatMulTransBSlice(dwPart.Data[i*wSize:(i+1)*wSize],
-				dy.Data[i*perSample:(i+1)*perSample], s.cols.Data[i*colSize:(i+1)*colSize],
-				l.OutC, spatial, colRows)
-		}
-		dW := l.W.Grad.Data
-		for i := 0; i < n; i++ {
-			part := dwPart.Data[i*wSize : (i+1)*wSize]
-			for j := range part {
-				dW[j] += part[j]
-			}
-		}
+		tensor.ParallelChunks(n, n*g.perSample*g.colRows, func(_, lo, hi int) { s.densePartials(dy, dwPart, g, lo, hi) })
+		tensor.ParallelChunks(wSize, n*wSize, func(_, lo, hi int) { s.reducePartials(dwPart, lo, hi) })
 	}
 	if l.B != nil {
 		// Biases stay dense in both modes: per-sample float64 plane sums
 		// accumulated in ascending sample order, the dense dB code verbatim.
 		for i := 0; i < n; i++ {
-			dyI := dy.Data[i*perSample : (i+1)*perSample]
+			dyI := dy.Data[i*g.perSample : (i+1)*g.perSample]
 			for f := 0; f < l.OutC; f++ {
 				var sum float64
-				row := dyI[f*spatial : (f+1)*spatial]
+				row := dyI[f*g.spatial : (f+1)*g.spatial]
 				for _, v := range row {
 					sum += float64(v)
 				}
@@ -360,36 +444,98 @@ func (s *trainConv) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	// dX: dcols = Wᵀ dy with regenerated filter rows — clear, ascending-f
-	// accumulation skipping W[f][c]==0 (the dense MatMulTransASlice
-	// sequence with the filter-row loop hoisted outward) — then the dense
-	// col2im scatter per sample.
+	// dX: dcols = Wᵀ dy with regenerated filter rows, filter columns
+	// partitioned across chunks, then the dense col2im scatter per sample.
 	dx := s.ws.GetRaw("dx", s.inShape...)
-	dcols := s.ws.GetRaw("dcols", n, colSize)
-	for i := range dcols.Data {
-		dcols.Data[i] = 0
+	dcols := s.ws.GetRaw("dcols", n, g.colSize)
+	work := n*g.perSample*g.colRows + core.RegenWork*l.OutC*g.colRows
+	wrows := s.ws.GetRaw("wrow", tensor.ParallelChunkCount(g.colRows, work), g.colRows).Data
+	tensor.ParallelChunks(g.colRows, work, func(c, lo, hi int) {
+		s.colGradCols(dy, dcols, wrows[c*g.colRows:(c+1)*g.colRows], g, lo, hi)
+	})
+	tensor.ParallelChunks(n, n*g.colSize, func(_, lo, hi int) { s.scatterSamples(dx, dcols, g, lo, hi) })
+	return dx
+}
+
+// trackedGrad computes tracked entries [lo, hi) of the frozen dW: each
+// tracked (f,c) folds the per-sample independent dots (dense
+// MatMulTransBSlice elements) in ascending sample order from zero — the
+// value the dense reduction loop would land in W.Grad.
+func (s *trainConv) trackedGrad(dy *tensor.Tensor, g convGeom, lo, hi int) {
+	t := s.t
+	for k := lo; k < hi; k++ {
+		fi := int(t.Idx[k])
+		f, c := fi/g.colRows, fi%g.colRows
+		var acc float32
+		for i := 0; i < s.batch; i++ {
+			dyRow := dy.Data[i*g.perSample+f*g.spatial : i*g.perSample+(f+1)*g.spatial]
+			colRow := s.cols.Data[i*g.colSize+c*g.spatial : i*g.colSize+(c+1)*g.spatial]
+			var dot float32
+			for j, v := range dyRow {
+				dot += v * colRow[j]
+			}
+			acc += dot
+		}
+		t.TGrad[k] = acc
 	}
-	wrow := s.ws.GetRaw("wrow", colRows).Data
-	for f := 0; f < l.OutC; f++ {
-		s.t.FillRow(wrow, f)
-		for i := 0; i < n; i++ {
-			dyRow := dy.Data[i*perSample+f*spatial : i*perSample+(f+1)*spatial]
-			dcI := dcols.Data[i*colSize : (i+1)*colSize]
-			for c := 0; c < colRows; c++ {
-				wv := wrow[c]
+}
+
+// densePartials writes the per-sample dense dW partials of samples [lo, hi).
+func (s *trainConv) densePartials(dy, dwPart *tensor.Tensor, g convGeom, lo, hi int) {
+	l := s.l
+	wSize := l.OutC * g.colRows
+	for i := lo; i < hi; i++ {
+		tensor.MatMulTransBSlice(dwPart.Data[i*wSize:(i+1)*wSize],
+			dy.Data[i*g.perSample:(i+1)*g.perSample], s.cols.Data[i*g.colSize:(i+1)*g.colSize],
+			l.OutC, g.spatial, g.colRows)
+	}
+}
+
+// reducePartials folds the per-sample partials into W.Grad elements
+// [lo, hi) in ascending sample order.
+func (s *trainConv) reducePartials(dwPart *tensor.Tensor, lo, hi int) {
+	dW := s.l.W.Grad.Data
+	wSize := len(dW)
+	for i := 0; i < s.batch; i++ {
+		part := dwPart.Data[i*wSize : (i+1)*wSize]
+		for j := lo; j < hi; j++ {
+			dW[j] += part[j]
+		}
+	}
+}
+
+// colGradCols computes filter columns [lo, hi) of dcols = Wᵀ dy for every
+// sample: clear, then ascending-f accumulation skipping W[f][c]==0 — the
+// dense MatMulTransASlice sequence with the filter-row loop hoisted outward
+// and each row regenerated over the chunk's window only.
+func (s *trainConv) colGradCols(dy, dcols *tensor.Tensor, wrow []float32, g convGeom, lo, hi int) {
+	wrow = wrow[:hi-lo]
+	for i := 0; i < s.batch; i++ {
+		clear(dcols.Data[i*g.colSize+lo*g.spatial : i*g.colSize+hi*g.spatial])
+	}
+	for f := 0; f < s.l.OutC; f++ {
+		s.t.FillRowRange(wrow, f, lo, hi)
+		for i := 0; i < s.batch; i++ {
+			dyRow := dy.Data[i*g.perSample+f*g.spatial : i*g.perSample+(f+1)*g.spatial]
+			dcI := dcols.Data[i*g.colSize : (i+1)*g.colSize]
+			for c, wv := range wrow {
 				if wv == 0 {
 					continue
 				}
-				dcRow := dcI[c*spatial : (c+1)*spatial]
+				dcRow := dcI[(lo+c)*g.spatial : (lo+c+1)*g.spatial][:len(dyRow)]
 				for j, v := range dyRow {
 					dcRow[j] += wv * v
 				}
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		tensor.Col2ImSlice(dx.Data[i*imgSize:(i+1)*imgSize], dcols.Data[i*colSize:(i+1)*colSize],
-			l.InC, h, w, l.KH, l.KW, l.Stride, l.Pad)
+}
+
+// scatterSamples col2im-scatters the dcols of samples [lo, hi) into dx.
+func (s *trainConv) scatterSamples(dx, dcols *tensor.Tensor, g convGeom, lo, hi int) {
+	l := s.l
+	for i := lo; i < hi; i++ {
+		tensor.Col2ImSlice(dx.Data[i*g.imgSize:(i+1)*g.imgSize], dcols.Data[i*g.colSize:(i+1)*g.colSize],
+			l.InC, g.h, g.w, l.KH, l.KW, l.Stride, l.Pad)
 	}
-	return dx
 }

@@ -58,8 +58,31 @@ func (in Init) Regenerate(i int) float32 {
 // This is how tensors are initialized in the first place, guaranteeing that
 // what Regenerate returns later is exactly what training started from.
 func (in Init) Fill(dst []float32) {
-	for i := range dst {
-		dst[i] = in.Regenerate(i)
+	in.FillRange(dst, 0)
+}
+
+// FillRange writes the initialization values for the contiguous indices
+// [start, start+len(dst)) into dst: dst[i] == Regenerate(start+i) bit for
+// bit, with the kind switch taken once per range instead of per element.
+// It is the gap filler of every sparse merge walk.
+func (in Init) FillRange(dst []float32, start int) {
+	switch in.Kind {
+	case InitScaledNormal:
+		for i := range dst {
+			dst[i] = in.Scale * IndexedNormal(in.Seed, uint64(start+i))
+		}
+	case InitConstant:
+		for i := range dst {
+			dst[i] = in.Scale
+		}
+	case InitUniform:
+		for i := range dst {
+			dst[i] = in.Scale * (2*IndexedUniform(in.Seed, uint64(start+i)) - 1)
+		}
+	case InitZero:
+		clear(dst)
+	default:
+		panic("xorshift: unknown InitKind")
 	}
 }
 

@@ -141,3 +141,54 @@ func TestRegeneratePanicsOnUnknownKind(t *testing.T) {
 	}()
 	Init{Kind: InitKind(250)}.Regenerate(0)
 }
+
+// TestFillRangeMatchesRegenerate pins FillRange to per-element Regenerate
+// bit for bit for every InitKind, across empty ranges, ranges starting at
+// zero, and large start offsets where the index no longer fits 32 bits.
+func TestFillRangeMatchesRegenerate(t *testing.T) {
+	kinds := []Init{
+		{Kind: InitScaledNormal, Seed: 11, Scale: 0.05},
+		{Kind: InitConstant, Seed: 11, Scale: 0.25},
+		{Kind: InitUniform, Seed: 11, Scale: 0.1},
+		{Kind: InitZero, Seed: 11},
+	}
+	starts := []int{0, 1, 783, 1 << 20, 1<<32 + 7, 1<<40 - 3}
+	lengths := []int{0, 1, 5, 257}
+	for _, in := range kinds {
+		for _, start := range starts {
+			for _, n := range lengths {
+				dst := make([]float32, n)
+				for i := range dst {
+					dst[i] = float32(math.NaN()) // every slot must be overwritten
+				}
+				in.FillRange(dst, start)
+				for i, got := range dst {
+					want := in.Regenerate(start + i)
+					if math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("kind %d start %d: FillRange[%d] = %x, Regenerate = %x",
+							in.Kind, start, i, math.Float32bits(got), math.Float32bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFillRangeProperty checks the same equality over random seeds,
+// offsets and lengths.
+func TestFillRangeProperty(t *testing.T) {
+	f := func(seed uint64, start uint32, n uint8, kind uint8) bool {
+		in := Init{Kind: InitKind(kind % 4), Seed: seed, Scale: 0.3}
+		dst := make([]float32, n)
+		in.FillRange(dst, int(start))
+		for i, got := range dst {
+			if math.Float32bits(got) != math.Float32bits(in.Regenerate(int(start)+i)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

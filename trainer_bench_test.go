@@ -2,6 +2,7 @@ package dropback
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dropback/internal/core"
@@ -60,7 +61,25 @@ func BenchmarkTrainStep(b *testing.B) {
 // of the dense trainer's value+gradient state (weight-state-frac);
 // cmd/benchguard gates all four against BENCH_train.json, which pins the
 // paper's train-on-the-pruned-budget memory claim in CI.
-func BenchmarkSparseTrainStep(b *testing.B) {
+func BenchmarkSparseTrainStep(b *testing.B) { benchSparseTrainStep(b) }
+
+// BenchmarkSparseTrainStepProcs runs the same frozen step at GOMAXPROCS 1
+// and 4, restoring the previous setting afterwards. The sparse kernels and
+// the tracked engine fan out across GOMAXPROCS, so on a machine with four
+// real cores procs=4 must beat procs=1; the bench-parallel gate asserts
+// that with benchguard -assert-faster (the -cpu flag cannot express it,
+// because benchguard strips the -N name suffix it adds).
+func BenchmarkSparseTrainStepProcs(b *testing.B) {
+	for _, procs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
+			benchSparseTrainStep(b)
+		})
+	}
+}
+
+func benchSparseTrainStep(b *testing.B) {
 	const batch = 32
 	const budget = 8961 // 10% of the 89610-parameter MLP
 	m := MNIST100100(1)
